@@ -4,9 +4,9 @@
     python3 e2ebench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>
     python3 e2ebench/run.py --self-test
 
-The library and the driver are built from source in Release into
+The library and the benchmark executable are built from source in Release into
 .bench_build/e2ebench at the repository root (the root build files are used
-as they are). Build output goes to stderr; the driver's stdout is passed
+as they are). Build output goes to stderr; the executable's stdout is passed
 through, so the last stdout line is the result JSON. Per-run records (host,
 result, spans) land in .bench_out/. Exits non-zero, printing no result, when
 the build or the run fails.
@@ -58,8 +58,8 @@ def main():
 
     cmd = [EXE, "--workload", a.workload, "--seed", str(a.seed), "--seconds", str(a.seconds),
            "--trace", a.trace, "--out-dir", OUT]
-    # Set-up time counts from the driver process's spawn (same monotonic
-    # clock as the driver's steady_clock).
+    # Set-up time counts from the executable's spawn (same monotonic
+    # clock as its steady_clock).
     cmd += ["--t0-ns", str(time.monotonic_ns())]
     try:
         r = subprocess.run(cmd, stdout=subprocess.PIPE, timeout=RUN_TIMEOUT_S)

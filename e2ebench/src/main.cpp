@@ -1,4 +1,4 @@
-// End-to-end benchmark driver.
+// End-to-end benchmark executable.
 //
 //   e2ebench --workload <name> --seed <n> --seconds <s> --trace <0|1>
 //            [--out-dir <dir>] [--t0-ns <monotonic ns at process spawn>]
