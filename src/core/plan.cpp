@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/workpool.h"
-
 namespace arm2gc::core {
 
 namespace {
@@ -388,41 +386,6 @@ ConeMemo::Entry* ConeMemo::find(std::uint32_t segment, std::uint64_t hash,
   return nullptr;
 }
 
-const ConeMemo::Entry* ConeMemo::peek(std::uint32_t segment, std::uint64_t hash,
-                                      const std::vector<std::uint64_t>& key,
-                                      std::size_t* after) const {
-  const auto it = map_.find(hash);
-  if (it == map_.end()) return nullptr;
-  for (std::size_t k = *after; k < it->second.size(); ++k) {
-    const LruList::iterator li = it->second[k];
-    if (li->segment == segment && li->key == key) {
-      *after = k + 1;
-      return &*li;
-    }
-  }
-  *after = it->second.size();
-  return nullptr;
-}
-
-void ConeMemo::touch_candidates(std::uint32_t segment, std::uint64_t hash,
-                                const std::vector<std::uint64_t>& key, std::size_t probed) {
-  if (probed == 0) return;
-  const auto it = map_.find(hash);
-  if (it == map_.end()) return;
-  // Splicing a list node moves it without invalidating iterators, so the
-  // bucket vector replays exactly the candidate sequence peek() walked;
-  // candidates evicted meanwhile (by this cycle's earlier inserts) are no
-  // longer in the bucket and are skipped.
-  std::size_t touched = 0;
-  for (std::size_t k = 0; k < it->second.size() && touched < probed; ++k) {
-    const LruList::iterator li = it->second[k];
-    if (li->segment == segment && li->key == key) {
-      lru_.splice(lru_.begin(), lru_, li);
-      ++touched;
-    }
-  }
-}
-
 ConeMemo::Entry* ConeMemo::insert(std::uint32_t segment, std::uint64_t hash,
                                   const std::vector<std::uint64_t>& key) {
   if (lru_.size() >= capacity_) {
@@ -533,28 +496,6 @@ Planner::Planner(const Netlist& nl, const PlannerOptions& opts)
     class_table_.resize(std::max<std::size_t>(16, next_pow2(2 * roots + 1)));
   }
   slices_.reserve(layout_.segments.size());
-
-  // Flatten the per-segment dependency lists into the CSR that schedules
-  // cone-parallel work (and rides along in every CyclePlan).
-  const std::size_t nseg = layout_.segments.size();
-  slice_dep_offsets_.assign(nseg + 1, 0);
-  for (std::size_t si = 0; si < nseg; ++si) {
-    slice_dep_offsets_[si + 1] =
-        slice_dep_offsets_[si] + static_cast<std::uint32_t>(layout_.segments[si].deps.size());
-  }
-  slice_dep_edges_.reserve(slice_dep_offsets_[nseg]);
-  for (const PlanSegment& s : layout_.segments) {
-    slice_dep_edges_.insert(slice_dep_edges_.end(), s.deps.begin(), s.deps.end());
-  }
-  seg_touch_.resize(nseg);
-  seg_ok_.assign(nseg, 1);
-  if (memo_ != nullptr) {
-    seg_keys_.resize(nseg);
-    seg_hash_.assign(nseg, 0);
-    seg_probes_.assign(nseg, 0);
-    seg_adopt_id_.assign(nseg, 0);
-    seg_result_.assign(nseg, 0);
-  }
 }
 
 Block Planner::fresh_fp() {
@@ -717,7 +658,7 @@ void Planner::forward() {
   // Every cycle gets a fresh derived-fingerprint epoch no matter which path
   // serves it (hit, miss, fallback), so category-iv fingerprints are pure
   // functions of (epoch, gate) — identical across planner variants and
-  // worker interleavings.
+  // classification orders.
   ++fp_epoch_;
   // The root signature doubles as the cone dirty sweep's change detector
   // and the segment keys' root words, so it is built whenever either reuse
@@ -728,7 +669,7 @@ void Planner::forward() {
     const std::uint64_t h = fnv1a64(sig_);
     if (Entry* e = cache_->find(h, sig_)) {
       cur_bits_ = e->wire_bits.data();
-      if (verify_entry(*e)) {
+      if (verify_touch(*e, e->touch.data(), e->touch.size())) {
         ++cache_hits_;
         cur_ = e;
         return;
@@ -768,30 +709,20 @@ void Planner::build_plan(Entry& e) {
   const WireId first_gate = nl_.first_gate_wire();
   for (WireId w = 0; w < first_gate; ++w) e.wire_bits[w] = pack_bits(st_[w]);
 
-  const std::uint32_t* dep_off = slice_dep_offsets_.data();
-  const std::uint32_t* dep_edg = slice_dep_edges_.data();
-
   if (memo_ == nullptr) {
-    // Cone-parallel classification without memoization: every segment
-    // classifies fresh into its own gate range and touch scratch; operand
-    // reads of upstream slices are ordered by the dependency DAG.
-    WorkPool::execute(opts_.pool, nseg, dep_off, dep_edg, [&](std::size_t si) {
-      seg_touch_[si].clear();
-      classify_segment(e, layout_.segments[si], seg_touch_[si]);
-    });
+    // No memoization: every segment classifies fresh.
     for (std::size_t si = 0; si < nseg; ++si) {
       e.touch_off[si] = static_cast<std::uint32_t>(e.touch.size());
-      e.touch.insert(e.touch.end(), seg_touch_[si].begin(), seg_touch_[si].end());
+      classify_segment(e, layout_.segments[si], e.touch);
     }
     e.touch_off[nseg] = static_cast<std::uint32_t>(e.touch.size());
     return;
   }
 
-  // Phase A (serial) — dirty-region seeds: every segment reading a root
-  // whose signature word changed against the snapshot. Everything else
-  // starts clean and only becomes dirty if an upstream slice actually
-  // changes (the cascade stops at segments that reclassify to an identical
-  // slice).
+  // Dirty-region seeds: every segment reading a root whose signature word
+  // changed against the snapshot. Everything else starts clean and only
+  // becomes dirty if an upstream slice actually changes (the cascade stops
+  // at segments that reclassify to an identical slice).
   const bool have_prev = prev_ok_;
   std::fill(seg_dirty_.begin(), seg_dirty_.end(), have_prev ? 0 : 1);
   if (have_prev) {
@@ -815,16 +746,13 @@ void Planner::build_plan(Entry& e) {
                        seg.count) != 0;
   };
 
-  // Phase B (cone-parallel) — adopt or classify every segment into its own
-  // gate range and per-segment scratch. A task reads its dependencies'
-  // seg_changed_ flags and slice bytes (written before their completion,
-  // ordered by the DAG), probes the memo read-only (peek), and defers all
-  // LRU motion, counters and inserts to phase C, so the pooled run is
-  // bit-identical to the serial one.
-  WorkPool::execute(opts_.pool, nseg, dep_off, dep_edg, [&](std::size_t si) {
+  // One ascending pass: each segment adopts the snapshot slice (clean),
+  // adopts a memo entry (dirty, key hit that verifies), or classifies fresh
+  // and is inserted into the memo right away.
+  for (std::size_t si = 0; si < nseg; ++si) {
     const PlanSegment& seg = layout_.segments[si];
-    seg_touch_[si].clear();
-    seg_probes_[si] = 0;
+    const std::size_t touch_begin = e.touch.size();
+    e.touch_off[si] = static_cast<std::uint32_t>(touch_begin);
     bool dirty = seg_dirty_[si] != 0;
     if (!dirty) {
       for (const std::uint32_t sj : seg.deps) {
@@ -841,74 +769,51 @@ void Planner::build_plan(Entry& e) {
                         prev_pass_src_.data() + seg.first_gate,
                         prev_bits_.data() + first_gate + seg.first_gate,
                         prev_touch_.data() + prev_touch_off_[si],
-                        prev_touch_off_[si + 1] - prev_touch_off_[si], seg_touch_[si])) {
+                        prev_touch_off_[si + 1] - prev_touch_off_[si], e.touch)) {
         seg_changed_[si] = 0;
-        seg_result_[si] = kSegCleanAdopt;
-        return;
+        ++cone_hits_;
+        continue;
       }
     }
 
     // Dirty cone (or snapshot drift): consult the memo. Key-equal candidates
     // can still fail verification (the key cannot see XOR-linear fingerprint
     // structure), so walk them until one verifies.
-    build_segment_key(si, seg, seg_keys_[si]);
-    const std::uint64_t h = fnv1a64_u64(seg_keys_[si]);
-    seg_hash_[si] = h;
+    build_segment_key(si, seg, seg_key_);
+    const std::uint64_t h = fnv1a64_u64(seg_key_);
     const std::uint32_t s32 = static_cast<std::uint32_t>(si);
     std::size_t after = 0;
-    while (const ConeMemo::Entry* m = memo_->peek(s32, h, seg_keys_[si], &after)) {
-      ++seg_probes_[si];
+    bool adopted = false;
+    while (const ConeMemo::Entry* m = memo_->find(s32, h, seg_key_, &after)) {
       if (adopt_segment(e, seg, m->act.data(), m->pass_src.data(), m->out_bits.data(),
-                        m->touch.data(), m->touch.size(), seg_touch_[si])) {
-        seg_adopt_id_[si] = m->slice_id;
+                        m->touch.data(), m->touch.size(), e.touch)) {
         seg_changed_[si] = slice_changed(seg) ? 1 : 0;
-        seg_result_[si] = kSegMemoAdopt;
-        return;
+        // An unchanged slice keeps the snapshot's slice id — same content.
+        if (seg_changed_[si] != 0) slice_ids_[si] = m->slice_id;
+        adopted = true;
+        break;
       }
+    }
+    if (adopted) {
+      ++cone_hits_;
+      continue;
     }
 
     // Miss (or every key-equal candidate drifted): reclassify this cone,
     // minting a fresh slice identity iff the bytes changed.
-    classify_segment(e, seg, seg_touch_[si]);
+    classify_segment(e, seg, e.touch);
     seg_changed_[si] = slice_changed(seg) ? 1 : 0;
-    seg_result_[si] = kSegClassified;
-  });
-
-  // Phase C (serial, ascending) — stitch the touch index, replay the memo's
-  // LRU motion for every probe phase B made, insert fresh classifications,
-  // and settle slice ids and counters in the exact serial order.
-  for (std::size_t si = 0; si < nseg; ++si) {
-    const PlanSegment& seg = layout_.segments[si];
-    e.touch_off[si] = static_cast<std::uint32_t>(e.touch.size());
-    e.touch.insert(e.touch.end(), seg_touch_[si].begin(), seg_touch_[si].end());
-    const std::uint32_t s32 = static_cast<std::uint32_t>(si);
-    switch (seg_result_[si]) {
-      case kSegCleanAdopt:
-        ++cone_hits_;
-        break;
-      case kSegMemoAdopt:
-        ++cone_hits_;
-        memo_->touch_candidates(s32, seg_hash_[si], seg_keys_[si], seg_probes_[si]);
-        if (seg_changed_[si] != 0) slice_ids_[si] = seg_adopt_id_[si];
-        // else: keep the snapshot's slice id — same content.
-        break;
-      case kSegClassified:
-      default: {
-        ++cone_misses_;
-        memo_->touch_candidates(s32, seg_hash_[si], seg_keys_[si], seg_probes_[si]);
-        if (ConeMemo::Entry* m = memo_->insert(s32, seg_hash_[si], seg_keys_[si])) {
-          const auto ab = e.act.begin() + static_cast<std::ptrdiff_t>(seg.first_gate);
-          const auto pb = e.pass_src.begin() + static_cast<std::ptrdiff_t>(seg.first_gate);
-          const auto wb =
-              e.wire_bits.begin() + static_cast<std::ptrdiff_t>(first_gate + seg.first_gate);
-          m->act.assign(ab, ab + seg.count);
-          m->pass_src.assign(pb, pb + seg.count);
-          m->out_bits.assign(wb, wb + seg.count);
-          m->touch = seg_touch_[si];
-          if (seg_changed_[si] != 0) slice_ids_[si] = m->slice_id;
-        }
-        break;
-      }
+    ++cone_misses_;
+    if (ConeMemo::Entry* m = memo_->insert(s32, h, seg_key_)) {
+      const auto ab = e.act.begin() + static_cast<std::ptrdiff_t>(seg.first_gate);
+      const auto pb = e.pass_src.begin() + static_cast<std::ptrdiff_t>(seg.first_gate);
+      const auto wb =
+          e.wire_bits.begin() + static_cast<std::ptrdiff_t>(first_gate + seg.first_gate);
+      m->act.assign(ab, ab + seg.count);
+      m->pass_src.assign(pb, pb + seg.count);
+      m->out_bits.assign(wb, wb + seg.count);
+      m->touch.assign(e.touch.begin() + static_cast<std::ptrdiff_t>(touch_begin), e.touch.end());
+      if (seg_changed_[si] != 0) slice_ids_[si] = m->slice_id;
     }
   }
   e.touch_off[nseg] = static_cast<std::uint32_t>(e.touch.size());
@@ -1030,30 +935,6 @@ bool Planner::adopt_segment(Entry& e, const PlanSegment& seg, const std::uint8_t
   if (!verify_touch(e, touch, touch_count)) return false;
   out_touch.insert(out_touch.end(), touch, touch + touch_count);
   return true;
-}
-
-bool Planner::verify_entry(const Entry& e) {
-  const std::size_t nseg = layout_.segments.size();
-  if (opts_.pool == nullptr || nseg <= 1) {
-    return verify_touch(e, e.touch.data(), e.touch.size());
-  }
-  // Cone-parallel hit verification: each segment verifies its touch
-  // sub-range, with operand fingerprint reads ordered by the dependency
-  // DAG. A failing segment stops propagating its fingerprints, which can
-  // only make downstream segments fail too — the conjunction is the same
-  // boolean the serial walk computes, and partially-written fingerprints
-  // are rewritten by the fallback classification.
-  std::fill(seg_ok_.begin(), seg_ok_.end(), 1);
-  opts_.pool->run(nseg, slice_dep_offsets_.data(), slice_dep_edges_.data(),
-                  [&](std::size_t si) {
-                    if (!verify_touch(e, e.touch.data() + e.touch_off[si],
-                                      e.touch_off[si + 1] - e.touch_off[si])) {
-                      seg_ok_[si] = 0;
-                    }
-                  });
-  bool ok = true;
-  for (std::size_t si = 0; si < nseg; ++si) ok = ok && seg_ok_[si] != 0;
-  return ok;
 }
 
 bool Planner::verify_touch(const Entry& e, const std::uint32_t* touch,
@@ -1202,8 +1083,6 @@ CyclePlan Planner::finish(bool is_final) {
   plan.slices = slices_.data();
   plan.num_slices = slices_.size();
   plan.wire_bits = cur_->wire_bits.data();
-  plan.dep_offsets = slice_dep_offsets_.data();
-  plan.dep_edges = slice_dep_edges_.data();
   plan.num_gates = nl_.gates.size();
   plan.num_wires = nl_.num_wires();
   plan.emitted = b->emitted;

@@ -145,7 +145,6 @@ PartyOptions party_options(Role role, const RunOptions& opts) {
   p.halt_wire = opts.halt_wire;
   p.max_cycles = opts.max_cycles;
   p.protocol_seed = opts.seed;
-  p.private_seed = opts.seed;  // in-process determinism convention
   p.plan_cache = opts.exec.plan_cache;
   p.plan_cache_budget_bytes = opts.exec.plan_cache_budget_bytes;
   p.cone_memo = opts.exec.cone_memo;
@@ -153,7 +152,6 @@ PartyOptions party_options(Role role, const RunOptions& opts) {
   p.cone_target_gates = opts.exec.cone_target_gates;
   p.ot_backend = opts.exec.ot_backend;
   p.ot_pool = opts.exec.ot_pool;
-  p.threads = opts.exec.threads;
   return p;
 }
 

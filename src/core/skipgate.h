@@ -63,12 +63,6 @@ struct ExecOptions {
   /// refill schedule is a deterministic function of it, so both parties must
   /// use the same value. Ignored by the other backends.
   std::size_t ot_pool = gc::kDefaultOtPoolBatch;
-  /// Worker threads per party for garbling/evaluation and per-cone plan
-  /// classification (core/workpool.h; 0 = one per hardware thread). Like
-  /// every ExecOptions field this never changes results: the ordered
-  /// transport writer keeps the framed byte stream, table digests and comm
-  /// accounting byte-identical to threads == 1.
-  std::size_t threads = 1;
 };
 
 struct RunOptions {
@@ -89,7 +83,8 @@ struct RunOptions {
 };
 
 /// Expands a driver-style RunOptions into one role's PartyOptions (the
-/// in-process determinism convention: private_seed == protocol seed).
+/// in-process determinism convention: private_seed stays unset, so each
+/// party's own seed is the protocol seed).
 [[nodiscard]] PartyOptions party_options(Role role, const RunOptions& opts);
 
 /// Two-party sequential garbling driver: constructs both endpoints over an

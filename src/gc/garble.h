@@ -59,17 +59,17 @@ class Garbler {
   Block garble(Block a0, Block b0, netlist::AndCore core, GarbledTable& table);
 
   /// Stateless garbling at an explicit tweak (uses `tweak` and `tweak + 1`):
-  /// bit-identical to garble() fed the same tweaks, but const, so
-  /// independent cones garble concurrently against preassigned tweak
-  /// ranges. `classic_fresh` supplies the fresh output label Classic4 needs
+  /// bit-identical to garble() fed the same tweaks, but const. The session
+  /// walks a cycle's slices with a running tweak starting at tweak_cursor().
+  /// `classic_fresh` supplies the fresh output label Classic4 needs
   /// (derived_label; ignored by the row-reduced schemes). The caller
   /// advances the shared cursors once per cycle via advance().
   Block garble_at(Block a0, Block b0, netlist::AndCore core, std::uint64_t tweak,
                   Block classic_fresh, GarbledTable& table) const;
 
-  /// Label addressed by (domain, ordinal) from the session seed — the
-  /// deterministic-under-parallelism replacement for a fresh_label() draw
-  /// whose stream position would depend on worker interleaving. Disjoint
+  /// Label addressed by (domain, ordinal) from the session seed — a
+  /// fresh_label() replacement whose value depends only on its address, not
+  /// on a stream position. Disjoint
   /// from the fresh_label() stream by construction (crypto::CtrRng::derive).
   [[nodiscard]] Block derived_label(std::uint64_t domain, std::uint64_t ordinal) const {
     return rng_.derive(domain, ordinal);
@@ -82,8 +82,8 @@ class Garbler {
     tweak_ += 2 * gates;
   }
 
-  /// The next tweak garble() would consume — the base the per-cone tweak
-  /// ranges of a cycle are laid out from.
+  /// The next tweak garble() would consume — where a cycle's running
+  /// garble_at() tweak starts.
   [[nodiscard]] std::uint64_t tweak_cursor() const { return tweak_; }
 
   [[nodiscard]] std::uint64_t gates_garbled() const { return gate_counter_; }
@@ -110,8 +110,7 @@ class Evaluator {
   Block eval(Block a, Block b, const GarbledTable& table);
 
   /// Stateless evaluation at an explicit tweak (uses `tweak` and `tweak + 1`)
-  /// — the evaluator-side mirror of Garbler::garble_at, for cones evaluated
-  /// concurrently against preassigned tweak ranges.
+  /// — the evaluator-side mirror of Garbler::garble_at.
   Block eval_at(Block a, Block b, const GarbledTable& table, std::uint64_t tweak) const;
 
   /// Advances the gate counter and tweak cursor past `gates` gates handled

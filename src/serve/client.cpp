@@ -20,7 +20,6 @@ core::PartyOptions to_party_options(const ClientOptions& c) {
   o.ot_backend = c.ot_backend;
   o.ot_pool = c.ot_pool;
   o.cone_target_gates = c.cone_target_gates;
-  o.threads = c.threads;
   return o;
 }
 

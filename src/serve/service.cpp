@@ -16,6 +16,7 @@
 #include <utility>
 
 #include "crypto/block.h"
+#include "crypto/rng.h"
 #include "gc/transport.h"
 #include "gc/transport_socket.h"
 #include "obs/metrics.h"
@@ -29,6 +30,10 @@ namespace {
 /// Protocol cycles a connection may run before yielding the shard back to
 /// its ready queue (fairness slice).
 constexpr std::uint64_t kSliceCycles = 8;
+
+/// Derivation domain of the per-run garbler seeds (CtrRng::derive keyed by
+/// the spec's private seed, addressed by the service-wide run ordinal).
+constexpr std::uint64_t kRunSeedDomain = 0x7365727665646e72ULL;  // "servednr"
 
 /// A /metrics request larger than this is not a scrape; drop it.
 constexpr std::size_t kMaxHttpHeader = 8192;
@@ -241,7 +246,13 @@ struct GarblerService::Impl {
       popts.scheme = static_cast<gc::Scheme>(h.scheme);
       popts.ot_backend = static_cast<gc::OtBackend>(h.ot_backend);
       popts.ot_pool = static_cast<std::size_t>(h.ot_pool);
-      popts.threads = impl.opts.exec_threads;
+      if (spec->opts.private_seed) {
+        // Fresh R and labels per run: reusing the spec's seed verbatim would
+        // garble every run of the program with the same labels.
+        popts.private_seed = crypto::CtrRng(*spec->opts.private_seed)
+                                 .derive(kRunSeedDomain,
+                                         impl.run_ordinal.fetch_add(1, std::memory_order_relaxed));
+      }
       return HelloStatus::Ok;
     }
 
@@ -777,6 +788,7 @@ struct GarblerService::Impl {
   std::atomic<std::uint64_t> send_queue_high_water{0};
   std::atomic<std::uint64_t> active{0};
   std::atomic<std::size_t> next_shard{0};
+  std::atomic<std::uint64_t> run_ordinal{0};  ///< keys the per-run garbler seeds
 
   std::vector<std::unique_ptr<Shard>> shards;
   std::vector<std::thread> threads;

@@ -46,7 +46,11 @@ namespace arm2gc::serve {
 /// protocol contract. The netlist, streams and name are caller-owned and
 /// must outlive the service. `opts` carries the schedule (fixed_cycles /
 /// halt_wire / max_cycles), the public seed and the service's private seed;
-/// scheme and OT backend are per-client (adopted from each hello).
+/// scheme and OT backend are per-client (adopted from each hello). A set
+/// `opts.private_seed` keys the per-run garbler seeds: each served run
+/// garbles under its own seed derived from it and a service-wide run
+/// ordinal, so no two runs share R or labels. Without one, every run uses
+/// the protocol seed (byte-identical to the in-process reference).
 struct ProgramSpec {
   std::string name;
   const netlist::Netlist* nl = nullptr;
@@ -62,7 +66,6 @@ struct ServiceOptions {
   std::size_t max_clients = 64;
   std::size_t shards = 1;     ///< event-loop threads
   std::size_t warm_pool = 4;  ///< WarmStates retained per program/backend key
-  std::size_t exec_threads = 1;  ///< worker threads per run (PartyOptions::threads)
   /// Park a connection (stop reading/advancing) beyond this many queued
   /// send bytes; the hard limit is enforced inside the transport.
   std::size_t send_soft_limit = 1u << 20;

@@ -178,17 +178,29 @@ TEST(PartyEndpoints, SocketMatchesInMemoryOnFuzzedNetlists) {
     streams.alice = [aw](std::uint64_t c) { return netlist::BitVec{((aw >> c) & 1u) != 0}; };
     streams.bob = [bw](std::uint64_t c) { return netlist::BitVec{((bw >> c) & 1u) != 0}; };
 
+    // Rotate the scheme per seed: Classic4 exercises the derived fresh-label
+    // path, Grr3/HalfGates the row-reduced tables.
+    const gc::Scheme scheme = seed % 3 == 0   ? gc::Scheme::Classic4
+                              : seed % 3 == 1 ? gc::Scheme::Grr3
+                                              : gc::Scheme::HalfGates;
+
     for (const core::Mode mode : {core::Mode::SkipGate, core::Mode::Conventional}) {
       for (const gc::OtBackend ot :
            {gc::OtBackend::Ideal, gc::OtBackend::Iknp, gc::OtBackend::Precomp}) {
-        core::RunOptions opts;
-        opts.mode = mode;
-        opts.fixed_cycles = 6;
-        opts.exec.ot_backend = ot;
-        const core::RunResult ref = core::SkipGateDriver(nl, opts).run(a, b, p, &streams);
-        const SocketRun s = socket_run(nl, opts, a, b, p, &streams);
-        expect_matches_reference(s, ref);
-        EXPECT_EQ(s.combined_comm.total(), ref.stats.comm.total()) << "seed " << seed;
+        // The default layout is one cone for these small netlists; 8 gates
+        // per cone cuts them into several interdependent slices.
+        for (const std::size_t cone_gates : {std::size_t{512}, std::size_t{8}}) {
+          core::RunOptions opts;
+          opts.mode = mode;
+          opts.scheme = scheme;
+          opts.fixed_cycles = 6;
+          opts.exec.ot_backend = ot;
+          opts.exec.cone_target_gates = cone_gates;
+          const core::RunResult ref = core::SkipGateDriver(nl, opts).run(a, b, p, &streams);
+          const SocketRun s = socket_run(nl, opts, a, b, p, &streams);
+          expect_matches_reference(s, ref);
+          EXPECT_EQ(s.combined_comm.total(), ref.stats.comm.total()) << "seed " << seed;
+        }
       }
     }
   }

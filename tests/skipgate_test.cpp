@@ -425,15 +425,26 @@ TEST(SkipGateTransport, ThreadedPipeMatchesInMemoryRandomCircuits) {
     const netlist::BitVec av = to_bits(rng.next_u64(), 8);
     const netlist::BitVec bv = to_bits(rng.next_u64(), 8);
     for (const auto scheme : {gc::Scheme::HalfGates, gc::Scheme::Grr3, gc::Scheme::Classic4}) {
-      RunOptions opts;
-      opts.fixed_cycles = 1;
-      opts.scheme = scheme;
-      RunOptions topts = opts;
-      topts.exec.transport = core::TransportKind::ThreadedPipe;
-      topts.exec.pipe_blocks = 64;  // force backpressure on a real circuit
-      const RunResult mem = SkipGateDriver(nl, opts).run(av, bv);
-      const RunResult piped = SkipGateDriver(nl, topts).run(av, bv);
-      expect_results_identical(mem, piped);
+      for (const Mode mode : {Mode::SkipGate, Mode::Conventional}) {
+        RunOptions opts;
+        opts.fixed_cycles = 1;
+        opts.scheme = scheme;
+        opts.mode = mode;
+        const RunResult ref = SkipGateDriver(nl, opts).run(av, bv);
+        // 0 = one cone for the whole netlist; 24 = many interdependent
+        // cones. Slices run in gate order, so the tables (and Classic4's
+        // derived output labels) must not depend on the layout.
+        for (const std::size_t cone_gates : {std::size_t{0}, std::size_t{24}}) {
+          opts.exec.cone_target_gates = cone_gates;
+          RunOptions topts = opts;
+          topts.exec.transport = core::TransportKind::ThreadedPipe;
+          topts.exec.pipe_blocks = 64;  // force backpressure on a real circuit
+          const RunResult mem = SkipGateDriver(nl, opts).run(av, bv);
+          const RunResult piped = SkipGateDriver(nl, topts).run(av, bv);
+          expect_results_identical(mem, piped);
+          expect_results_identical(ref, mem);
+        }
+      }
     }
   }
 }
